@@ -47,28 +47,38 @@ void HandleStopSignal(int) { g_stop = true; }
 
 // Same per-slot training recipe as example_serve_fleet: presets cycled,
 // seeds varied, so every slot is a genuinely different park.
-std::string TrainParkSnapshot(int slot, bool smoke) {
+StatusOr<std::string> TrainParkSnapshot(int slot, bool smoke) {
   const ParkPreset presets[] = {ParkPreset::kMfnp, ParkPreset::kQenp,
                                 ParkPreset::kSws};
-  Scenario scenario = MakeScenario(presets[slot % 3], /*seed=*/17 + slot);
-  if (smoke) {
-    scenario.park.width = 24;
-    scenario.park.height = 20;
-    scenario.num_years = 3;
-  }
-  ScenarioData data = SimulateScenario(scenario, 100 + slot);
   IWareConfig cfg;
   cfg.weak_learner = WeakLearnerKind::kDecisionTreeBagging;
   cfg.num_thresholds = 4;
   cfg.cv_folds = 2;
   cfg.bagging.num_estimators = 5;
   cfg.bagging.balanced = presets[slot % 3] == ParkPreset::kSws;
-  PawsPipeline pipeline(std::move(data), cfg);
-  Rng rng(7 + slot);
-  CheckOrDie(pipeline.Train(&rng).ok(), "paws_serve: training failed");
-  ArchiveWriter writer;
-  pipeline.SaveModel(&writer);
-  return writer.Bytes();
+  // Some scenario seeds simulate data with a single class, which cannot
+  // be trained on; take the next seed, 17 + slot + 1000 * attempt (the
+  // rule pawsbench uses), up to 8 attempts.
+  Status trained = Status::OK();
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const uint64_t seed = 17 + slot + 1000 * static_cast<uint64_t>(attempt);
+    Scenario scenario = MakeScenario(presets[slot % 3], seed);
+    if (smoke) {
+      scenario.park.width = 24;
+      scenario.park.height = 20;
+      scenario.num_years = 3;
+    }
+    PawsPipeline pipeline(SimulateScenario(scenario, 100 + slot), cfg);
+    Rng rng(7 + slot);
+    trained = pipeline.Train(&rng);
+    if (!trained.ok()) continue;
+    std::printf("park-%d: trained on scenario seed %llu\n", slot,
+                static_cast<unsigned long long>(seed));
+    ArchiveWriter writer;
+    pipeline.SaveModel(&writer);
+    return writer.Bytes();
+  }
+  return trained;
 }
 
 }  // namespace
@@ -112,8 +122,13 @@ int main(int argc, char** argv) {
   }
   ParkService service;
   for (int p = 0; p < num_parks; ++p) {
-    const std::string bytes = TrainParkSnapshot(p, smoke);
-    auto snapshot = ModelSnapshot::FromBytes(bytes);
+    const StatusOr<std::string> bytes = TrainParkSnapshot(p, smoke);
+    if (!bytes.ok()) {
+      std::fprintf(stderr, "paws_serve: training park-%d failed: %s\n", p,
+                   bytes.status().ToString().c_str());
+      return 1;
+    }
+    auto snapshot = ModelSnapshot::FromBytes(*bytes);
     CheckOrDie(snapshot.ok(), "paws_serve: snapshot load failed");
     const std::string id = "park-" + std::to_string(p);
     CheckOrDie(

@@ -39,29 +39,38 @@ double MsSince(Clock::time_point start) {
 // Trains one small DTB model per fleet slot (presets cycled, seeds varied
 // so every park is a genuinely different area) and serializes it to a
 // snapshot byte string — the artifact a serving process would load.
-std::string TrainParkSnapshot(int slot, bool smoke) {
+StatusOr<std::string> TrainParkSnapshot(int slot, bool smoke) {
   const ParkPreset presets[] = {ParkPreset::kMfnp, ParkPreset::kQenp,
                                 ParkPreset::kSws};
-  Scenario scenario =
-      MakeScenario(presets[slot % 3], /*seed=*/17 + slot);
-  if (smoke) {
-    scenario.park.width = 24;
-    scenario.park.height = 20;
-    scenario.num_years = 3;
-  }
-  ScenarioData data = SimulateScenario(scenario, 100 + slot);
   IWareConfig cfg;
   cfg.weak_learner = WeakLearnerKind::kDecisionTreeBagging;
   cfg.num_thresholds = 4;
   cfg.cv_folds = 2;
   cfg.bagging.num_estimators = 5;
   cfg.bagging.balanced = presets[slot % 3] == ParkPreset::kSws;
-  PawsPipeline pipeline(std::move(data), cfg);
-  Rng rng(7 + slot);
-  CheckOrDie(pipeline.Train(&rng).ok(), "serve_fleet: training failed");
-  ArchiveWriter writer;
-  pipeline.SaveModel(&writer);
-  return writer.Bytes();
+  // Some scenario seeds simulate data with a single class, which cannot
+  // be trained on; take the next seed, 17 + slot + 1000 * attempt (the
+  // rule pawsbench uses), up to 8 attempts.
+  Status trained = Status::OK();
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const uint64_t seed = 17 + slot + 1000 * static_cast<uint64_t>(attempt);
+    Scenario scenario = MakeScenario(presets[slot % 3], seed);
+    if (smoke) {
+      scenario.park.width = 24;
+      scenario.park.height = 20;
+      scenario.num_years = 3;
+    }
+    PawsPipeline pipeline(SimulateScenario(scenario, 100 + slot), cfg);
+    Rng rng(7 + slot);
+    trained = pipeline.Train(&rng);
+    if (!trained.ok()) continue;
+    std::printf("park-%d: trained on scenario seed %llu\n", slot,
+                static_cast<unsigned long long>(seed));
+    ArchiveWriter writer;
+    pipeline.SaveModel(&writer);
+    return writer.Bytes();
+  }
+  return trained;
 }
 
 ModelSnapshot LoadSnapshot(const std::string& bytes) {
@@ -92,7 +101,13 @@ int main(int argc, char** argv) {
   const auto train_start = Clock::now();
   std::vector<std::string> snapshots;
   for (int p = 0; p < num_parks; ++p) {
-    snapshots.push_back(TrainParkSnapshot(p, smoke));
+    StatusOr<std::string> bytes = TrainParkSnapshot(p, smoke);
+    if (!bytes.ok()) {
+      std::fprintf(stderr, "serve_fleet: training park-%d failed: %s\n", p,
+                   bytes.status().ToString().c_str());
+      return 1;
+    }
+    snapshots.push_back(std::move(bytes).value());
   }
   std::printf("trained and snapshotted %d parks in %.0f ms\n\n", num_parks,
               MsSince(train_start));

@@ -159,18 +159,31 @@ void TiledFeaturePlane::UpdateLaggedEffort(
                  park.height() == grid_height_,
              "TiledFeaturePlane: park does not match this plane");
   ++coverage_version_;
-  // Diff the layers cell by cell (by bit pattern: a -0.0 -> 0.0 flip is a
-  // row change even though == would miss it) and mark the containing
-  // tiles dirty. Only dirty tiles pay: version bump + pool eviction.
+  // Diff the layers by bit pattern (a -0.0 -> 0.0 flip is a row change
+  // even though == would miss it) and mark the containing tiles dirty.
+  // Only dirty tiles pay: version bump + pool eviction. A write usually
+  // touches a small region, so equal blocks are skipped with one memcmp
+  // each and only a block that differs is walked cell by cell. (A per-cell
+  // loop over a whole 1M-cell layer measured 20-40% slower or faster with
+  // nothing but the code alignment of unrelated functions changed.)
+  constexpr int kDiffBlock = 512;
   std::vector<bool> dirty(geometry_.num_tiles(), false);
   const std::vector<int>& indices = park.cell_indices();
-  for (int id = 0; id < num_cells_; ++id) {
-    const double a = lagged_effort_[id];
-    const double b = lagged_effort[id];
-    if (std::memcmp(&a, &b, sizeof(double)) == 0) continue;
-    const int grid_index = indices[id];
-    dirty[geometry_.TileOf(grid_index % grid_width_,
-                           grid_index / grid_width_)] = true;
+  for (int begin = 0; begin < num_cells_; begin += kDiffBlock) {
+    const int end = std::min(num_cells_, begin + kDiffBlock);
+    if (std::memcmp(lagged_effort_.data() + begin,
+                    lagged_effort.data() + begin,
+                    sizeof(double) * (end - begin)) == 0) {
+      continue;
+    }
+    for (int id = begin; id < end; ++id) {
+      const double a = lagged_effort_[id];
+      const double b = lagged_effort[id];
+      if (std::memcmp(&a, &b, sizeof(double)) == 0) continue;
+      const int grid_index = indices[id];
+      dirty[geometry_.TileOf(grid_index % grid_width_,
+                             grid_index / grid_width_)] = true;
+    }
   }
   lagged_effort_ = std::move(lagged_effort);
   std::lock_guard<std::mutex> lock(pool_mu_);

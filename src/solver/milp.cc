@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -15,6 +16,10 @@ struct Node {
   std::vector<std::array<double, 2>> bounds;  // indexed by position in vars
   std::vector<int> vars;
   double lp_bound = 0.0;
+  // Optimal basis of the parent's LP (the root's for the root), shared by
+  // both children. The node's LP differs from it by one bound, so the
+  // basis stays dual feasible and warm-starts the node's re-solve.
+  std::shared_ptr<const SimplexBasis> start;
 
   bool operator<(const Node& other) const {
     return lp_bound < other.lp_bound;  // max-heap: best bound first
@@ -42,29 +47,36 @@ int MostFractional(const LinearProgram& lp, const std::vector<double>& x,
   return best;
 }
 
-void ApplyNode(const Node& node, LinearProgram* lp) {
-  for (size_t i = 0; i < node.vars.size(); ++i) {
-    lp->SetBounds(node.vars[i], node.bounds[i][0], node.bounds[i][1]);
-  }
-}
-
-void RestoreBounds(const LinearProgram& root, const Node& node,
-                   LinearProgram* lp) {
-  for (int v : node.vars) {
-    lp->SetBounds(v, root.lower(v), root.upper(v));
-  }
-}
-
 }  // namespace
 
 StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
                                const MilpOptions& options) {
   if (lp.num_integer_variables() == 0) return SolveLp(lp, options.simplex);
 
-  LinearProgram work = lp;  // bounds are mutated per node and restored
+  // One live simplex for the whole call: the root is solved cold, every
+  // later LP warm-starts from a basis an earlier one reached.
+  SimplexSolver simplex(lp, options.simplex);
+  std::vector<double> lower, upper;  // root bounds; a node's while it solves
+  for (int j = 0; j < lp.num_variables(); ++j) {
+    lower.push_back(lp.lower(j));
+    upper.push_back(lp.upper(j));
+  }
+  auto solve_node = [&](const Node& node, const SimplexBasis& start) {
+    for (size_t i = 0; i < node.vars.size(); ++i) {
+      lower[node.vars[i]] = node.bounds[i][0];
+      upper[node.vars[i]] = node.bounds[i][1];
+    }
+    auto solved = simplex.Resolve(start, lower, upper);
+    for (int v : node.vars) {
+      lower[v] = lp.lower(v);
+      upper[v] = lp.upper(v);
+    }
+    return solved;
+  };
 
-  PAWS_ASSIGN_OR_RETURN(LpSolution root, SolveLp(work, options.simplex));
+  PAWS_ASSIGN_OR_RETURN(LpSolution root, simplex.Solve());
   if (root.status != SolveStatus::kOptimal) return root;
+  const auto root_basis = std::make_shared<const SimplexBasis>(simplex.basis());
 
   LpSolution incumbent;
   incumbent.status = SolveStatus::kInfeasible;
@@ -86,9 +98,11 @@ StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
   // Diving heuristic: repeatedly fix the most nearly-integral fractional
   // variable to its rounded value and re-solve. Unlike naive rounding this
   // respects coupled integer structures (e.g. SOS2 segment selectors whose
-  // sum must be exactly 1), so it reliably seeds an incumbent.
+  // sum must be exactly 1), so it reliably seeds an incumbent. Each step
+  // starts from the previous step's basis.
   if (options.use_rounding_heuristic && !accept_if_integral(root)) {
     Node dive;
+    SimplexBasis dive_basis = *root_basis;
     LpSolution current = root;
     for (int depth = 0; depth < 4 * lp.num_integer_variables() + 8; ++depth) {
       // Pick the fractional integer variable closest to an integer.
@@ -113,9 +127,7 @@ StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
                                   lp.lower(pick), lp.upper(pick));
       dive.vars.push_back(pick);
       dive.bounds.push_back({r, r});
-      ApplyNode(dive, &work);
-      auto dived = SolveLp(work, options.simplex);
-      RestoreBounds(lp, dive, &work);
+      auto dived = solve_node(dive, dive_basis);
       if (!dived.ok()) break;
       total_iterations += dived->simplex_iterations;
       if (dived->status != SolveStatus::kOptimal) {
@@ -127,15 +139,15 @@ StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
                                          lp.upper(pick)),
                               std::clamp(flipped, lp.lower(pick),
                                          lp.upper(pick))};
-        ApplyNode(dive, &work);
-        auto retried = SolveLp(work, options.simplex);
-        RestoreBounds(lp, dive, &work);
-        if (!retried.ok() || retried->status != SolveStatus::kOptimal) break;
+        auto retried = solve_node(dive, dive_basis);
+        if (!retried.ok()) break;
         total_iterations += retried->simplex_iterations;
+        if (retried->status != SolveStatus::kOptimal) break;
         current = std::move(retried).value();
       } else {
         current = std::move(dived).value();
       }
+      dive_basis = simplex.basis();
       if (accept_if_integral(current)) break;
     }
   }
@@ -155,9 +167,7 @@ StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
         fixed.vars.push_back(j);
         fixed.bounds.push_back({r, r});
       }
-      ApplyNode(fixed, &work);
-      auto rounded = SolveLp(work, options.simplex);
-      RestoreBounds(lp, fixed, &work);
+      auto rounded = solve_node(fixed, *root_basis);
       if (rounded.ok()) {
         total_iterations += rounded->simplex_iterations;
         if (rounded->status == SolveStatus::kOptimal &&
@@ -172,6 +182,7 @@ StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
   {
     Node root_node;
     root_node.lp_bound = root.objective;
+    root_node.start = root_basis;
     open.push(std::move(root_node));
   }
   // If the root relaxation is already integral we are done.
@@ -194,9 +205,7 @@ StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
       break;  // best-first: every remaining node is dominated
     }
 
-    ApplyNode(node, &work);
-    auto solved = SolveLp(work, options.simplex);
-    RestoreBounds(lp, node, &work);
+    auto solved = solve_node(node, *node.start);
     PAWS_RETURN_IF_ERROR(solved.status());
     ++nodes;
     total_iterations += solved->simplex_iterations;
@@ -219,9 +228,11 @@ StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
         node_hi = node.bounds[i][1];
       }
     }
+    const auto basis = std::make_shared<const SimplexBasis>(simplex.basis());
     auto make_child = [&](double lo, double hi) {
       Node child = node;
       child.lp_bound = solved->objective;
+      child.start = basis;
       bool replaced = false;
       for (size_t i = 0; i < child.vars.size(); ++i) {
         if (child.vars[i] == frac) {

@@ -22,8 +22,11 @@ struct MilpOptions {
 
 /// Solves a maximization MILP by best-first branch and bound on the
 /// variables flagged integral in `lp`, with the dense simplex as the
-/// relaxation solver. If `lp` has no integer variables this reduces to a
-/// single LP solve.
+/// relaxation solver. The root relaxation is solved cold; every dive step
+/// and node re-solves warm from its parent's basis (SimplexSolver::Resolve),
+/// so a node stores only that O(m + n) basis. `simplex_iterations` counts
+/// every pivot of the call. If `lp` has no integer variables this reduces to
+/// a single LP solve.
 StatusOr<LpSolution> SolveMilp(const LinearProgram& lp,
                                const MilpOptions& options = {});
 

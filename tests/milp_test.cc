@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
+#include "solver/pwl.h"
 #include "util/rng.h"
 
 namespace paws {
@@ -151,6 +152,181 @@ TEST(MilpTest, NodeLimitReturnsIncumbentWithGap) {
   }
   EXPECT_LE(lp.MaxViolation(sol->values), 1e-6);
 }
+
+// --- SolveMilp (warm-started nodes) against a cold-start reference branch
+// and bound and against brute force over the SOS2 segment choices. ---
+
+struct PwlModel {
+  LinearProgram lp;
+  std::vector<PwlTermHandle> terms;
+};
+
+// The PwlMilpPropertyTest model: two non-concave PWL terms over [0, 3]
+// under a shared budget.
+PwlModel SeparablePwlModel(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PiecewiseLinear> fns;
+  for (int d = 0; d < 2; ++d) {
+    std::vector<double> ys;
+    for (int i = 0; i < 4; ++i) ys.push_back(rng.Uniform(0.0, 2.0));
+    fns.emplace_back(std::vector<double>{0.0, 1.0, 2.0, 3.0}, ys);
+  }
+  const double budget = rng.Uniform(2.0, 4.0);
+  PwlModel model;
+  std::vector<std::pair<int, double>> budget_terms;
+  for (int d = 0; d < 2; ++d) {
+    const int x = model.lp.AddVariable(0.0, 3.0, 0.0);
+    budget_terms.emplace_back(x, 1.0);
+    model.terms.push_back(AddPwlObjectiveTerm(&model.lp, x, fns[d], 1.0));
+  }
+  model.lp.AddConstraint(budget_terms, Relation::kLessEqual, budget);
+  return model;
+}
+
+// A patrol-planning MILP in the planner's shape: K unit flows over a
+// time-unrolled 3x3 grid (self-loops allowed) that leave the centre post at
+// t = 0 and are back at t = horizon - 1, coverage c_v = K * visits of v,
+// and a random non-concave PWL utility of c_v for the post and its four
+// neighbours.
+PwlModel GridPlanningModel(uint64_t seed) {
+  Rng rng(seed);
+  constexpr int kSide = 3, kHorizon = 4, kPost = 4;
+  const double k = 1.0 + rng.UniformInt(2);
+  const double cap = kHorizon * k;
+  std::vector<std::vector<int>> neighbors(kSide * kSide);
+  for (int v = 0; v < kSide * kSide; ++v) {
+    const int r = v / kSide, c = v % kSide;
+    neighbors[v].push_back(v);
+    if (r > 0) neighbors[v].push_back(v - kSide);
+    if (r + 1 < kSide) neighbors[v].push_back(v + kSide);
+    if (c > 0) neighbors[v].push_back(v - 1);
+    if (c + 1 < kSide) neighbors[v].push_back(v + 1);
+  }
+  PwlModel model;
+  struct Edge {
+    int t, from, to, var;
+  };
+  std::vector<Edge> edges;
+  for (int t = 0; t + 1 < kHorizon; ++t) {
+    for (int u = 0; u < kSide * kSide; ++u) {
+      if (t == 0 && u != kPost) continue;
+      for (int v : neighbors[u]) {
+        if (t + 2 == kHorizon && v != kPost) continue;
+        edges.push_back({t, u, v, model.lp.AddVariable(0.0, 1.0, 0.0)});
+      }
+    }
+  }
+  std::vector<std::pair<int, double>> out0, in_last;
+  for (const Edge& e : edges) {
+    if (e.t == 0) out0.emplace_back(e.var, 1.0);
+    if (e.t + 2 == kHorizon) in_last.emplace_back(e.var, 1.0);
+  }
+  model.lp.AddConstraint(out0, Relation::kEqual, 1.0);
+  model.lp.AddConstraint(in_last, Relation::kEqual, 1.0);
+  for (int t = 1; t + 1 < kHorizon; ++t) {
+    for (int v = 0; v < kSide * kSide; ++v) {
+      std::vector<std::pair<int, double>> terms;
+      for (const Edge& e : edges) {
+        if (e.t == t - 1 && e.to == v) terms.emplace_back(e.var, 1.0);
+        if (e.t == t && e.from == v) terms.emplace_back(e.var, -1.0);
+      }
+      if (!terms.empty()) model.lp.AddConstraint(terms, Relation::kEqual, 0.0);
+    }
+  }
+  for (int v : neighbors[kPost]) {
+    const int c = model.lp.AddVariable(0.0, cap, 0.0);
+    std::vector<std::pair<int, double>> terms = {{c, 1.0}};
+    for (const Edge& e : edges) {
+      if (e.to == v) terms.emplace_back(e.var, -k);
+    }
+    model.lp.AddConstraint(terms, Relation::kEqual, v == kPost ? k : 0.0);
+    std::vector<double> ys = {0.0};
+    for (int i = 0; i < 3; ++i) ys.push_back(ys.back() + rng.Uniform(0.0, 1.0));
+    model.terms.push_back(AddPwlObjectiveTerm(
+        &model.lp, c, PiecewiseLinear({0.0, cap / 3, 2 * cap / 3, cap}, ys),
+        rng.Uniform(0.5, 1.5)));
+  }
+  return model;
+}
+
+// Cold-start reference: depth-first branch and bound that solves every
+// node from scratch with SolveLp, branching on the first fractional
+// integer variable. Returns the optimum, or -inf if infeasible.
+double ColdBranchAndBound(const LinearProgram& lp, double best) {
+  auto sol = SolveLp(lp);
+  EXPECT_TRUE(sol.ok()) << sol.status();
+  if (!sol.ok() || sol->status != SolveStatus::kOptimal ||
+      sol->objective <= best) {
+    return best;
+  }
+  int frac = -1;
+  for (int j = 0; j < lp.num_variables() && frac < 0; ++j) {
+    const double x = sol->values[j];
+    if (lp.is_integer(j) && std::fabs(x - std::round(x)) > 1e-6) frac = j;
+  }
+  if (frac < 0) return sol->objective;
+  const double x = sol->values[frac];
+  LinearProgram down = lp, up = lp;
+  down.SetBounds(frac, lp.lower(frac), std::floor(x));
+  up.SetBounds(frac, std::ceil(x), lp.upper(frac));
+  best = ColdBranchAndBound(down, best);
+  return ColdBranchAndBound(up, best);
+}
+
+// Brute force: one LP per choice of active segment in every PWL term.
+double BruteForceSegments(const PwlModel& model) {
+  double best = -kLpInfinity;
+  std::vector<size_t> choice(model.terms.size(), 0);
+  while (true) {
+    LinearProgram fixed = model.lp;
+    for (size_t t = 0; t < model.terms.size(); ++t) {
+      const auto& segs = model.terms[t].segment_vars;
+      for (size_t s = 0; s < segs.size(); ++s) {
+        const double v = s == choice[t] ? 1.0 : 0.0;
+        fixed.SetBounds(segs[s], v, v);
+      }
+    }
+    auto sol = SolveLp(fixed);
+    EXPECT_TRUE(sol.ok()) << sol.status();
+    if (sol.ok() && sol->status == SolveStatus::kOptimal) {
+      best = std::max(best, sol->objective);
+    }
+    // Next choice; a concave term has no segment binaries, so one choice.
+    size_t t = 0;
+    while (t < choice.size() &&
+           ++choice[t] >=
+               std::max<size_t>(1, model.terms[t].segment_vars.size())) {
+      choice[t++] = 0;
+    }
+    if (t == choice.size()) return best;
+  }
+}
+
+void ExpectWarmMatchesColdReferences(const PwlModel& model) {
+  MilpOptions options;
+  auto sol = SolveMilp(model.lp, options);
+  ASSERT_TRUE(sol.ok()) << sol.status();
+  ASSERT_EQ(sol->status, SolveStatus::kOptimal);
+  EXPECT_LE(model.lp.MaxViolation(sol->values), 1e-6);
+  const double cold = ColdBranchAndBound(model.lp, -kLpInfinity);
+  const double brute = BruteForceSegments(model);
+  EXPECT_NEAR(cold, brute, 1e-9);
+  EXPECT_NEAR(sol->objective, cold, options.absolute_gap_tolerance);
+}
+
+class MilpWarmStartTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MilpWarmStartTest, PwlModelMatchesColdBranchAndBound) {
+  ExpectWarmMatchesColdReferences(SeparablePwlModel(GetParam()));
+}
+
+TEST_P(MilpWarmStartTest, PlanningModelMatchesColdBranchAndBound) {
+  ExpectWarmMatchesColdReferences(GridPlanningModel(GetParam()));
+}
+
+// The PwlMilpPropertyTest seeds.
+INSTANTIATE_TEST_SUITE_P(Seeds, MilpWarmStartTest,
+                         ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace
 }  // namespace paws

@@ -211,6 +211,33 @@ TEST_F(TiledPlaneTest, IdenticalUpdateIsANoOpForTileVersions) {
   EXPECT_EQ(plane.pool_stats().resident_tiles, 1u);
 }
 
+TEST_F(TiledPlaneTest, UpdateFindsChangesAtEveryPositionAndSignOfZero) {
+  // Changes at the first and last cell and around multiples of 512 (the
+  // diff compares blocks before cells), plus a 0.0 -> -0.0 flip, which is
+  // a row change by bit pattern: exactly their tiles turn dirty.
+  const int n = data_->park.num_cells();
+  std::vector<double> lag(n, 0.0);
+  TiledFeaturePlane plane(data_->park, lag, SmallTiles());
+  std::set<int> changed = {0, n - 1, n / 3};
+  for (int edge = 512; edge <= n; edge += 512) {
+    changed.insert(edge - 1);
+    if (edge < n) changed.insert(edge);
+  }
+  std::set<int> want;
+  for (int id : changed) {
+    lag[id] = id == n / 3 ? -0.0 : 1.5;
+    const int grid_index = data_->park.cell_indices()[id];
+    want.insert(plane.geometry().TileOf(grid_index % data_->park.width(),
+                                        grid_index / data_->park.width()));
+  }
+  plane.UpdateLaggedEffort(data_->park, lag);
+  for (int tile_id = 0; tile_id < plane.num_tiles(); ++tile_id) {
+    EXPECT_EQ(plane.tile_coverage_version(tile_id),
+              want.count(tile_id) ? 1u : 0u)
+        << "tile " << tile_id;
+  }
+}
+
 TEST_F(TiledPlaneTest, PoolRespectsByteBudgetAndCountsTraffic) {
   TiledPlaneOptions options = SmallTiles();
   const TiledFeaturePlane unbounded(data_->park, {}, options);
